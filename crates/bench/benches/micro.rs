@@ -1,16 +1,23 @@
 //! Criterion micro-benchmarks of RADS's building blocks: the sorted-set
 //! intersection kernels, the embedding trie, the edge-verification index,
-//! plan computation, border-distance computation, partitioning and the
-//! single-machine enumerator.
+//! region grouping, plan computation, border-distance computation,
+//! partitioning and the single-machine enumerator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rads_core::trie::EmbeddingTrie;
 use rads_core::evi::EdgeVerificationIndex;
+use rads_core::memory::MemoryBudget;
+use rads_core::region::{find_region_groups, GroupingStrategy};
+use rads_core::sme::run_sme;
+use rads_datasets::{generate, DatasetKind, Scale};
+use rads_exec::{ExecConfig, DEFAULT_STEAL_GRANULARITY};
 use rads_graph::generators::{barabasi_albert, grid_2d};
 use rads_graph::intersect::{intersect_k_into, intersect_pair_into, IntersectStats};
 use rads_graph::{queries, VertexId};
-use rads_partition::{BfsPartitioner, HashPartitioner, LabelPropagationPartitioner, LocalPartition, Partitioner};
+use rads_partition::{
+    BfsPartitioner, HashPartitioner, LabelPropagationPartitioner, LocalPartition, PartitionedGraph, Partitioner,
+};
 use rads_plan::{best_plan, PlannerConfig};
 use rads_single::count_embeddings;
 
@@ -110,6 +117,39 @@ fn bench_evi(c: &mut Criterion) {
     });
 }
 
+/// Region grouping (Algorithm 3) of the SM-E remaining candidates of the
+/// busiest machine: RoadNet stand-in at scale 4 over 4 label-propagation
+/// machines, q1, default budget — the shape where every remaining
+/// candidate of a machine lands in one group.
+fn bench_region_grouping(c: &mut Criterion) {
+    let dataset = generate(DatasetKind::RoadNet, Scale(4.0), 42);
+    let partitioning = LabelPropagationPartitioner::default().partition(&dataset.graph, 4);
+    let partitioned = PartitionedGraph::build(&dataset.graph, partitioning);
+    let pattern = queries::query_by_name("q1").unwrap();
+    let plan = best_plan(&pattern, &PlannerConfig { rho: 1.0 });
+    let exec = ExecConfig { workers: 1, steal_granularity: DEFAULT_STEAL_GRANULARITY };
+    let (local, sme) = partitioned
+        .locals()
+        .iter()
+        .map(|local| (local, run_sme(local, &pattern, &plan, true, &exec)))
+        .max_by_key(|(_, sme)| sme.remaining_candidates.len())
+        .unwrap();
+    let budget = MemoryBudget::default();
+    c.bench_function("region_grouping_roadnet_q1", |b| {
+        b.iter(|| {
+            find_region_groups(
+                local,
+                &sme.remaining_candidates,
+                &sme.estimator,
+                &budget,
+                GroupingStrategy::Proximity,
+                42,
+            )
+            .len()
+        })
+    });
+}
+
 fn bench_planner(c: &mut Criterion) {
     let mut group = c.benchmark_group("execution_plan");
     for nq in queries::standard_query_set() {
@@ -162,6 +202,7 @@ criterion_group!(
     bench_intersection,
     bench_trie,
     bench_evi,
+    bench_region_grouping,
     bench_planner,
     bench_partitioning,
     bench_border_distance,

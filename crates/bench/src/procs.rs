@@ -1014,10 +1014,12 @@ pub fn run_coordinator(
         }
     };
     let result = (|| {
+        // Wakes as soon as the engine reports; otherwise runs the
+        // watchdog, chaos kill and deadline checks once per 100 ms tick.
         let engine_outcome = loop {
-            match engine_rx.try_recv() {
+            match engine_rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(outcome) => break outcome,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
                     // The engine thread panicking is itself a worker-loss
                     // symptom: its RPCs to the dead machine exhausted their
                     // retries. Confirm via the process table before blaming
@@ -1028,7 +1030,7 @@ pub fn run_coordinator(
                     }
                     return Err("coordinator engine thread died without reporting".to_string());
                 }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                     if watch.poll() {
                         return on_worker_loss(&watch);
                     }
@@ -1039,7 +1041,6 @@ pub fn run_coordinator(
                             timeout.as_secs()
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(100));
                 }
             }
         };
